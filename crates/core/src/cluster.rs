@@ -118,11 +118,17 @@ pub(crate) fn execute_replication_tasks(master: &Master, plane: &DataPlane) -> R
                     let Ok(sw) = plane.worker(src.worker) else { continue };
                     let Ok(_src_io) = sw.media_io(src.media) else { continue };
                     let Ok(data) = sw.read_block(src.media, block.id) else { continue };
-                    let tw = plane.worker(target.worker)?;
-                    let _dst_io = tw.media_io(target.media)?;
-                    tw.write_block(target.media, block, &data)?;
-                    master.commit_replica(block, target)?;
-                    copied = true;
+                    // A failing target fails this task, not the round: the
+                    // abort below releases its reservation, as in
+                    // `net::monitor`.
+                    copied = plane
+                        .worker(target.worker)
+                        .and_then(|tw| {
+                            let _dst_io = tw.media_io(target.media)?;
+                            tw.write_block(target.media, block, &data)?;
+                            master.commit_replica(block, target)
+                        })
+                        .is_ok();
                     break;
                 }
                 if !copied {
@@ -250,6 +256,11 @@ impl Cluster {
             if dead.contains(&w.id()) {
                 continue;
             }
+            // Heartbeat first, as a networked worker does: the master only
+            // trusts a report to prove replicas missing that were committed
+            // before the worker's latest heartbeat.
+            let (stats, net_conn) = w.heartbeat_stats();
+            self.master.heartbeat(w.id(), stats, net_conn, self.now_ms())?;
             let report = w.block_report();
             let invalidate = self.master.block_report(w.id(), &report)?;
             for bid in invalidate {

@@ -17,7 +17,7 @@ use octopus_master::Master;
 use super::client::RemoteFs;
 use super::master_server::MasterServer;
 use super::proto::{MasterRequest, MasterResponse};
-use super::worker_server::{call_master, AddressMap, WorkerServer};
+use super::worker_server::{call_master, report_blocks, send_heartbeat, AddressMap, WorkerServer};
 use crate::cluster::{build_workers_for, StorageMode};
 use crate::worker::Worker;
 
@@ -41,23 +41,8 @@ pub struct NetCluster {
     scrapes: Mutex<HashMap<WorkerId, super::client::ScrapeState>>,
 }
 
-/// Sends one full block report for `w` and applies the master's
-/// invalidation reply (replicas the master no longer tracks — e.g. a
-/// delete the worker missed while offline, §5). Returns replicas dropped.
-fn report_blocks(master_addr: SocketAddr, w: &Worker) -> Result<u32> {
-    let mut dropped = 0;
-    if let MasterResponse::Invalidate(stale) =
-        call_master(master_addr, &MasterRequest::BlockReport(w.id(), w.block_report()))?
-    {
-        for b in stale {
-            dropped += w.invalidate_block(b);
-        }
-    }
-    Ok(dropped)
-}
-
-/// Spawns one background heartbeat thread, with a periodic block report
-/// every [`BEATS_PER_REPORT`] beats.
+/// Spawns one background heartbeat thread; every [`BEATS_PER_REPORT`]th
+/// beat is followed by a full block report.
 fn spawn_heartbeat(
     master_addr: SocketAddr,
     w: Arc<Worker>,
@@ -72,19 +57,11 @@ fn spawn_heartbeat(
             while !stop.load(Ordering::Relaxed) {
                 std::thread::sleep(std::time::Duration::from_millis(heartbeat_ms));
                 let now_ms = epoch.elapsed().as_millis() as u64;
-                let (stats, conns) = w.heartbeat_stats();
-                // Piggyback the drained heat epoch and sample the local
-                // series on the same cadence — no extra RPC, no extra
-                // thread.
-                let touches = w.drain_heat_epoch();
-                w.sample_series(now_ms);
-                let _ = call_master(
-                    master_addr,
-                    &MasterRequest::Heartbeat(w.id(), stats, conns, now_ms, touches),
-                );
                 beats += 1;
                 if beats.is_multiple_of(BEATS_PER_REPORT) {
-                    let _ = report_blocks(master_addr, &w);
+                    let _ = report_blocks(master_addr, &w, now_ms);
+                } else {
+                    let _ = send_heartbeat(master_addr, &w, now_ms);
                 }
             }
         })
@@ -130,9 +107,7 @@ impl NetCluster {
                 master_addr,
                 &MasterRequest::RegisterWorker(w.id(), w.rack(), w.net_bps(), 0, my_addr),
             )?;
-            let (stats, conns) = w.heartbeat_stats();
-            call_master(master_addr, &MasterRequest::Heartbeat(w.id(), stats, conns, 0, vec![]))?;
-            call_master(master_addr, &MasterRequest::BlockReport(w.id(), w.block_report()))?;
+            report_blocks(master_addr, w, 0)?;
         }
 
         // Background heartbeat threads, one stop flag each so a single
@@ -367,9 +342,10 @@ impl NetCluster {
     /// exposed so tests don't have to wait for it.
     pub fn run_block_report_round(&self) -> Result<u32> {
         let mut dropped = 0;
+        let now_ms = self.epoch.elapsed().as_millis() as u64;
         for (i, w) in self.workers.iter().enumerate() {
             if self.worker_servers[i].is_some() {
-                dropped += report_blocks(self.master_addr(), w)?;
+                dropped += report_blocks(self.master_addr(), w, now_ms)?;
             }
         }
         Ok(dropped)
@@ -409,13 +385,7 @@ impl NetCluster {
                 server.addr().to_string(),
             ),
         )?;
-        let (stats, conns) = w.heartbeat_stats();
-        let now_ms = self.epoch.elapsed().as_millis() as u64;
-        call_master(
-            master_addr,
-            &MasterRequest::Heartbeat(w.id(), stats, conns, now_ms, w.drain_heat_epoch()),
-        )?;
-        report_blocks(master_addr, w)?;
+        report_blocks(master_addr, w, self.epoch.elapsed().as_millis() as u64)?;
         self.worker_servers[idx] = Some(server);
         let stop = Arc::new(AtomicBool::new(false));
         self.hb_threads[idx] = Some(spawn_heartbeat(

@@ -129,6 +129,12 @@ impl MuxConn {
 /// semaphore.
 struct Peer {
     conns: Mutex<Vec<Arc<MuxConn>>>,
+    /// Held while opening a connection, so at most one caller dials a peer
+    /// at a time; holds the latest dial's error, if it failed.
+    dial: Mutex<Option<FsError>>,
+    /// Dials completed, so a caller that queued behind a failed dial
+    /// returns its error instead of waiting out another connect timeout.
+    dials: AtomicU64,
     rr: AtomicU64,
     inflight: Mutex<u32>,
     inflight_cv: Condvar,
@@ -392,6 +398,8 @@ impl RpcClient {
         Arc::clone(self.peers.lock().unwrap().entry(addr).or_insert_with(|| {
             Arc::new(Peer {
                 conns: Mutex::new(Vec::new()),
+                dial: Mutex::new(None),
+                dials: AtomicU64::new(0),
                 rr: AtomicU64::new(0),
                 inflight: Mutex::new(0),
                 inflight_cv: Condvar::new(),
@@ -426,32 +434,44 @@ impl RpcClient {
     /// the busy ones (they multiplex). Returns whether the connection was
     /// freshly opened (send failures on it then consume retry budget).
     fn conn_for(&self, peer: &Peer, addr: SocketAddr) -> Result<(Arc<MuxConn>, bool)> {
-        {
-            let mut conns = peer.conns.lock().unwrap();
-            conns.retain(|c| !c.dead.load(Ordering::Acquire));
-            if let Some(c) = conns.iter().find(|c| c.slots.lock().unwrap().is_empty()) {
-                return Ok((Arc::clone(c), false));
-            }
-            if !conns.is_empty() && conns.len() >= self.cfg.conns_per_peer.max(1) as usize {
-                let i = peer.rr.fetch_add(1, Ordering::Relaxed) as usize % conns.len();
-                return Ok((Arc::clone(&conns[i]), false));
+        if let Some(c) = self.pooled(peer) {
+            return Ok((c, false));
+        }
+        // Dial outside the pool lock but under the peer's dial lock, and
+        // re-check the pool once holding it: concurrent first callers then
+        // share one connection instead of opening surplus sockets the
+        // server sees connect and close, and the per-peer cap stays hard.
+        let seen = peer.dials.load(Ordering::Acquire);
+        let mut failed = peer.dial.lock().unwrap();
+        if let Some(c) = self.pooled(peer) {
+            return Ok((c, false));
+        }
+        if peer.dials.load(Ordering::Acquire) != seen {
+            if let Some(e) = &*failed {
+                return Err(e.clone());
             }
         }
-        // Connect outside the lock. Under a connect race several callers
-        // may reach here at once; the losers fold back onto an existing
-        // connection so the per-peer cap stays hard.
-        let conn = self.connect(addr)?;
+        let out = self.connect(addr);
+        peer.dials.fetch_add(1, Ordering::Release);
+        *failed = out.as_ref().err().cloned();
+        let conn = out?;
+        peer.conns.lock().unwrap().push(Arc::clone(&conn));
+        Ok((conn, true))
+    }
+
+    /// A pooled connection for one attempt, or `None` when a new one may
+    /// be opened (the pool has no idle connection and is under the cap).
+    fn pooled(&self, peer: &Peer) -> Option<Arc<MuxConn>> {
         let mut conns = peer.conns.lock().unwrap();
         conns.retain(|c| !c.dead.load(Ordering::Acquire));
-        if conns.len() >= self.cfg.conns_per_peer.max(1) as usize {
-            let i = peer.rr.fetch_add(1, Ordering::Relaxed) as usize % conns.len();
-            let existing = Arc::clone(&conns[i]);
-            drop(conns);
-            conn.kill(&self.conn_gauge(), &FsError::Unreachable("surplus connection".into()));
-            return Ok((existing, false));
+        if let Some(c) = conns.iter().find(|c| c.slots.lock().unwrap().is_empty()) {
+            return Some(Arc::clone(c));
         }
-        conns.push(Arc::clone(&conn));
-        Ok((conn, true))
+        if !conns.is_empty() && conns.len() >= self.cfg.conns_per_peer.max(1) as usize {
+            let i = peer.rr.fetch_add(1, Ordering::Relaxed) as usize % conns.len();
+            return Some(Arc::clone(&conns[i]));
+        }
+        None
     }
 
     fn forget(&self, peer: &Peer, conn: &Arc<MuxConn>) {

@@ -34,6 +34,41 @@ pub fn call_master(addr: SocketAddr, req: &MasterRequest) -> Result<MasterRespon
     super::rpc::shared().call_master(addr, req)
 }
 
+/// Sends one heartbeat for `w` — media statistics, connection count and
+/// its drained access-heat epoch — and samples its local series on the
+/// same cadence.
+pub fn send_heartbeat(master: SocketAddr, w: &Worker, now_ms: u64) -> Result<()> {
+    let _beat = w.beat_lock();
+    heartbeat_locked(master, w, now_ms)
+}
+
+fn heartbeat_locked(master: SocketAddr, w: &Worker, now_ms: u64) -> Result<()> {
+    let (stats, conns) = w.heartbeat_stats();
+    let touches = w.drain_heat_epoch();
+    w.sample_series(now_ms);
+    call_master(master, &MasterRequest::Heartbeat(w.id(), stats, conns, now_ms, touches))?;
+    Ok(())
+}
+
+/// Heartbeats, then sends a full block report for `w` and applies the
+/// master's invalidation reply (replicas the master no longer tracks —
+/// e.g. a delete the worker missed while offline, §5). Returns replicas
+/// dropped. The worker's beat lock is held throughout, so the report
+/// speaks for every replica committed before this call.
+pub fn report_blocks(master: SocketAddr, w: &Worker, now_ms: u64) -> Result<u32> {
+    let _beat = w.beat_lock();
+    heartbeat_locked(master, w, now_ms)?;
+    let mut dropped = 0;
+    if let MasterResponse::Invalidate(stale) =
+        call_master(master, &MasterRequest::BlockReport(w.id(), w.block_report()))?
+    {
+        for b in stale {
+            dropped += w.invalidate_block(b);
+        }
+    }
+    Ok(dropped)
+}
+
 /// One RPC round trip to a worker data server, over the process-wide
 /// shared client.
 pub fn call_worker(addr: SocketAddr, req: &WorkerRequest) -> Result<WorkerResponse> {

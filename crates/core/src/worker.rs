@@ -34,6 +34,7 @@ pub struct Worker {
     trace: TraceCollector,
     heat: HeatRecorder,
     series: SeriesRing,
+    beat: parking_lot::Mutex<()>,
 }
 
 impl Worker {
@@ -51,7 +52,16 @@ impl Worker {
                 octopus_common::series::DEFAULT_SERIES_INTERVAL_MS,
                 octopus_common::series::DEFAULT_SERIES_POINTS,
             ),
+            beat: parking_lot::Mutex::new(()),
         }
+    }
+
+    /// Serializes this worker's heartbeats with its block reports. The
+    /// master keeps a replica committed since the worker's latest
+    /// heartbeat even if a report omits it, so no heartbeat may land
+    /// between a report's snapshot and its delivery.
+    pub fn beat_lock(&self) -> parking_lot::MutexGuard<'_, ()> {
+        self.beat.lock()
     }
 
     /// The worker's metrics registry (`worker_*` counters/gauges, stamped

@@ -9,6 +9,8 @@
 use std::time::{Duration, Instant};
 
 use octopus_common::{ClientLocation, ClusterConfig, FsError, ReplicationVector, RpcConfig, MB};
+use octopus_core::net::proto::MasterRequest;
+use octopus_core::net::worker_server::call_master;
 use octopus_core::net::{faults, FaultAction};
 use octopus_core::NetCluster;
 
@@ -232,4 +234,34 @@ fn block_report_round_purges_stale_replicas() {
     assert!(!cluster.workers()[0].contains(orphan.id));
     // The legitimate file is untouched.
     assert_eq!(client.read_file("/stale").unwrap(), data);
+}
+
+#[test]
+fn heartbeats_wait_for_a_block_report_in_flight() {
+    // The master keeps a replica committed since a worker's latest
+    // heartbeat even when that worker's report omits it, because the
+    // report's snapshot may predate the commit. That only holds if no
+    // heartbeat lands between snapshot and delivery: hold worker 0's beat
+    // lock as a report in flight does, commit a replica meanwhile, and let
+    // its heartbeat thread try to beat before the stale report arrives.
+    let mut config = ClusterConfig::test_cluster(3, 64 * MB, MB);
+    config.heartbeat_ms = 10;
+    let cluster = NetCluster::start(config).unwrap();
+    let client = cluster.client(ClientLocation::OffCluster);
+    let w0 = &cluster.workers()[0];
+
+    let beat = w0.beat_lock();
+    let snapshot = w0.block_report();
+    client.write_file("/inflight", &payload(64 * 1024, 5), rf(3)).unwrap();
+    let block = client.get_file_block_locations("/inflight", 0, u64::MAX).unwrap()[0].block;
+    assert!(cluster.master().block_locations(block.id).iter().any(|l| l.worker == w0.id()));
+    std::thread::sleep(Duration::from_millis(50));
+    call_master(cluster.master_addr(), &MasterRequest::BlockReport(w0.id(), snapshot)).unwrap();
+    drop(beat);
+
+    assert_eq!(
+        cluster.master().block_locations(block.id).len(),
+        3,
+        "stale report dropped a replica"
+    );
 }

@@ -1,7 +1,10 @@
-//! End-to-end tests of the corruption-detection (scrubber) and
-//! decommissioning paths (paper §5 repair mechanisms).
+//! End-to-end tests of the corruption-detection (scrubber),
+//! decommissioning and replication paths (paper §5 repair mechanisms).
 
-use octopus_common::{ClientLocation, ClusterConfig, ReplicationVector, WorkerId, MB};
+use octopus_common::{
+    Block, BlockData, BlockId, ClientLocation, ClusterConfig, GenStamp, ReplicationVector,
+    StorageTier, WorkerId, MB,
+};
 use octopus_core::Cluster;
 use octopus_storage::MemoryStore;
 
@@ -145,4 +148,37 @@ fn decommissioning_worker_keeps_serving_reads_while_draining() {
     // receiving new replicas).
     assert_eq!(client.read_file("/serve").unwrap(), data);
     assert!(!cluster.master().decommission_complete(WorkerId(99)), "unknown worker");
+}
+
+#[test]
+fn replication_round_survives_a_failing_target() {
+    // One worker, so both copies below target its only SSD. The SSD is
+    // filled behind the master's back: the master still sees it empty and
+    // schedules both, but only the small block still fits.
+    let cluster = Cluster::start(ClusterConfig::test_cluster(1, 4 * MB, MB)).unwrap();
+    let client = cluster.client(ClientLocation::OffCluster);
+    let hdd_only = ReplicationVector::msh(0, 0, 1);
+    client.write_file("/big", &payload(MB as usize, 7), hdd_only).unwrap();
+    client.write_file("/small", &payload(64 << 10, 8), hdd_only).unwrap();
+    let worker = cluster.worker(WorkerId(0)).unwrap();
+    let ssd = worker.media().iter().find(|m| m.tier == StorageTier::Ssd.id()).unwrap().id;
+    let filler = Block { id: BlockId(u64::MAX - 1), gen: GenStamp(1), len: 3 * MB + MB / 2 };
+    worker.write_block(ssd, filler, &BlockData::generate_real(filler.len as usize, 9)).unwrap();
+
+    // /big is scanned first (older inode), so its failing copy precedes
+    // the copy that must still run.
+    for path in ["/big", "/small"] {
+        client.set_replication(path, ReplicationVector::msh(0, 1, 1)).unwrap();
+    }
+    assert_eq!(cluster.run_replication_round().unwrap(), 2);
+
+    let master = cluster.master();
+    assert_eq!(master.scheduled_bytes(ssd), 0, "the failed copy leaked its reservation");
+    let locations = |path| {
+        master.get_file_block_locations(path, 0, u64::MAX, ClientLocation::OffCluster).unwrap()
+    };
+    let big = &locations("/big")[0];
+    assert_eq!(big.locations.len(), 1);
+    assert!(master.pending_locations(big.block.id).is_empty());
+    assert_eq!(locations("/small")[0].locations.len(), 2, "the next task in the round never ran");
 }

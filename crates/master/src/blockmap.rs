@@ -134,11 +134,6 @@ impl BlockMap {
         affected
     }
 
-    /// All block ids, unordered.
-    pub fn block_ids(&self) -> Vec<BlockId> {
-        self.blocks.keys().copied().collect()
-    }
-
     /// Iterates `(id, info)`.
     pub fn iter(&self) -> impl Iterator<Item = (&BlockId, &BlockInfo)> {
         self.blocks.iter()

@@ -1,11 +1,11 @@
 //! Master-side cluster state: registered workers, heartbeat statistics,
 //! scheduled-write accounting, and liveness tracking (paper §2.1/§3.2).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use octopus_common::{
-    ClusterConfig, FsError, MediaId, MediaStats, RackId, Result, StorageTierReport, TierId,
-    TierRegistry, TierStats, WorkerId, WorkerStats, MAX_TIERS,
+    BlockId, ClusterConfig, FsError, MediaId, MediaStats, RackId, Result, StorageTierReport,
+    TierId, TierRegistry, TierStats, WorkerId, WorkerStats, MAX_TIERS,
 };
 use octopus_policies::ClusterSnapshot;
 
@@ -24,6 +24,9 @@ pub struct WorkerInfo {
     pub nr_conn: u32,
     /// Timestamp (ms) of the last heartbeat.
     pub last_heartbeat_ms: u64,
+    /// Replicas on this worker committed since its last heartbeat: its
+    /// next block report may predate them (see `Master::block_report`).
+    pub committed_since_heartbeat: HashSet<(BlockId, MediaId)>,
     /// Liveness flag maintained by [`ClusterState::tick`].
     pub live: bool,
 }
@@ -73,6 +76,7 @@ impl ClusterState {
                 net_thru,
                 nr_conn: 0,
                 last_heartbeat_ms: now_ms,
+                committed_since_heartbeat: HashSet::new(),
                 live: true,
             },
         );
@@ -95,8 +99,28 @@ impl ClusterState {
         w.media = media;
         w.nr_conn = nr_conn;
         w.last_heartbeat_ms = now_ms;
+        w.committed_since_heartbeat.clear();
         w.live = true;
         Ok(())
+    }
+
+    /// Notes a replica committed on `worker` since its last heartbeat.
+    pub fn note_commit(&mut self, worker: WorkerId, block: BlockId, media: MediaId) {
+        if let Some(w) = self.workers.get_mut(&worker) {
+            w.committed_since_heartbeat.insert((block, media));
+        }
+    }
+
+    /// Whether a replica was committed on `worker` since its last heartbeat.
+    pub fn committed_since_heartbeat(
+        &self,
+        worker: WorkerId,
+        block: BlockId,
+        media: MediaId,
+    ) -> bool {
+        self.workers
+            .get(&worker)
+            .is_some_and(|w| w.committed_since_heartbeat.contains(&(block, media)))
     }
 
     /// Reserves capacity for a block scheduled to be written.

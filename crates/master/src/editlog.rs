@@ -449,6 +449,9 @@ struct GroupState {
     resolved_seq: u64,
     /// Whether a committer is currently flushing a batch.
     committing: bool,
+    /// Threads parked on the condvar. The committer wakes them only when
+    /// there are any: a wake-up is a system call even with no waiter.
+    waiters: u32,
     /// A batch write failed; the log refuses further durability claims
     /// (matching the usual journal discipline: an fsync failure means the
     /// tail of the log is unknowable).
@@ -456,9 +459,9 @@ struct GroupState {
 }
 
 /// A group-commit edit log: writers *stage* ops (cheap, done while still
-/// holding the namespace-shard lock so the log order is a valid
-/// linearization), then *wait* for durability after releasing the shard
-/// lock. The first waiter that finds no committer running becomes the
+/// holding the namespace lock so the log order is a valid
+/// linearization), then *wait* for durability after releasing the
+/// namespace lock. The first waiter that finds no committer running becomes the
 /// committer: it takes the whole staged batch, writes and fsyncs it as one
 /// coalesced record run, and wakes every waiter the batch covered. Log
 /// latency thus amortizes across all concurrently-staging writers instead
@@ -483,6 +486,7 @@ impl GroupCommitLog {
                 next_seq: existing,
                 resolved_seq: existing,
                 committing: false,
+                waiters: 0,
                 poisoned: None,
             }),
             log: Mutex::new(log),
@@ -491,8 +495,8 @@ impl GroupCommitLog {
     }
 
     /// Stages an op for the next batch and returns its sequence number.
-    /// Call while holding the lock that ordered the op (its namespace
-    /// shard); the assigned sequence then agrees with every dependency.
+    /// Call while holding the lock that ordered the op (the namespace
+    /// lock); the assigned sequence then agrees with every dependency.
     pub fn stage(&self, op: EditOp) -> u64 {
         let mut st = self.state.lock();
         let seq = st.next_seq;
@@ -526,9 +530,13 @@ impl GroupCommitLog {
                 if let Err(e) = res {
                     st.poisoned = Some(e.to_string());
                 }
-                self.cond.notify_all();
+                if st.waiters > 0 {
+                    self.cond.notify_all();
+                }
             } else {
+                st.waiters += 1;
                 st = self.cond.wait(st).unwrap_or_else(PoisonError::into_inner);
+                st.waiters -= 1;
             }
         }
     }
@@ -551,12 +559,6 @@ impl GroupCommitLog {
     /// are invisible here by design.
     pub fn since(&self, from: usize) -> Vec<EditOp> {
         self.log.lock().since(from).to_vec()
-    }
-
-    /// Flushes anything staged and runs `f` over the durable op sequence.
-    pub fn with_durable<R>(&self, f: impl FnOnce(&[EditOp]) -> R) -> Result<R> {
-        self.flush()?;
-        Ok(f(self.log.lock().ops()))
     }
 
     /// Forces every staged op to stable storage.

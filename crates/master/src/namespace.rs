@@ -4,7 +4,6 @@
 //! mentioned in §1).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use octopus_common::{
     BlockId, FsError, INodeId, IdGenerator, ReplicationVector, Result, MAX_TIERS,
@@ -93,7 +92,7 @@ pub fn parse_path(path: &str) -> Result<Vec<&str>> {
 pub struct Namespace {
     nodes: BTreeMap<INodeId, INode>,
     root: INodeId,
-    ids: Arc<IdGenerator>,
+    ids: IdGenerator,
 }
 
 impl Default for Namespace {
@@ -105,15 +104,7 @@ impl Default for Namespace {
 impl Namespace {
     /// A namespace containing only `/`.
     pub fn new() -> Self {
-        Self::with_ids(Arc::new(IdGenerator::new(1)))
-    }
-
-    /// A namespace containing only `/`, drawing inode ids from a shared
-    /// generator. The sharded master mirrors directories into every
-    /// namespace stripe; sharing one generator keeps inode ids globally
-    /// unique so heat tracking and the blockmap (both keyed by `INodeId`)
-    /// never see collisions across stripes.
-    pub fn with_ids(ids: Arc<IdGenerator>) -> Self {
+        let ids = IdGenerator::new(1);
         let root = INodeId(ids.next());
         let mut nodes = BTreeMap::new();
         nodes.insert(
@@ -321,7 +312,7 @@ impl Namespace {
 
     /// The per-tier quota charge of growing/shrinking a file by
     /// `len_delta` bytes with vector `rv` (pinned tiers only).
-    pub(crate) fn charge_of(rv: ReplicationVector, len: u64) -> [u64; MAX_TIERS] {
+    fn charge_of(rv: ReplicationVector, len: u64) -> [u64; MAX_TIERS] {
         let mut c = [0u64; MAX_TIERS];
         for (tier, count) in rv.iter_tiers() {
             c[tier.0 as usize] = len * count as u64;
@@ -658,7 +649,6 @@ impl Namespace {
     /// exceeds the new limit.
     pub fn set_quota(&mut self, path: &str, quota: TierQuota) -> Result<()> {
         let id = self.resolve(path)?;
-        let is_root = id == self.root;
         let node = self.node_mut(id)?;
         match &mut node.kind {
             INodeKind::Dir { quota: q, usage, .. } => {
@@ -672,7 +662,6 @@ impl Namespace {
                     }
                 }
                 *q = quota;
-                let _ = is_root;
                 Ok(())
             }
             INodeKind::File(_) => Err(FsError::NotADirectory(path.to_string())),
@@ -716,64 +705,17 @@ impl Namespace {
         dirs
     }
 
-    /// Removes a file leaf from the tree *without* touching its blocks,
-    /// refunding its quota charge from the ancestor chain, and returns the
-    /// inode id and metadata. Together with [`Namespace::implant_file`]
-    /// this moves a file between namespace stripes when a rename changes
-    /// which stripe its path hashes to.
-    pub fn extract_file(&mut self, path: &str) -> Result<(INodeId, FileMeta)> {
-        let id = self.resolve(path)?;
-        let meta = self.file_meta(id)?.clone();
-        let charge = Self::charge_of(meta.rv, meta.len);
-        self.apply_charge(id, &charge, -1)?;
-        let parent = self.node(id)?.parent.expect("files are never the root");
-        let name = self.node(id)?.name.clone();
-        if let INodeKind::Dir { children, .. } = &mut self.node_mut(parent)?.kind {
-            children.remove(&name);
-        }
-        self.nodes.remove(&id);
-        Ok((id, meta))
-    }
-
-    /// Inserts a file node with a caller-provided inode id and metadata
-    /// (the inverse of [`Namespace::extract_file`]). The parent directory
-    /// must exist and the name must be free; the file's quota charge is
-    /// applied (and verified) along the new ancestor chain, unwinding the
-    /// insertion on failure. The internal id generator is advanced past
-    /// `id` so future allocations never collide.
-    pub fn implant_file(&mut self, path: &str, id: INodeId, meta: FileMeta) -> Result<()> {
-        let (parent, name) = self.resolve_parent(path)?;
-        {
-            let node = self.node(parent)?;
-            let INodeKind::Dir { children, .. } = &node.kind else {
-                return Err(FsError::NotADirectory(self.path_of(parent)));
-            };
-            if children.contains_key(name) {
-                return Err(FsError::AlreadyExists(path.to_string()));
+    /// Every file inode at or under `path`.
+    pub fn files_under(&self, path: &str) -> Result<Vec<INodeId>> {
+        let mut stack = vec![self.resolve(path)?];
+        let mut files = Vec::new();
+        while let Some(n) = stack.pop() {
+            match &self.node(n)?.kind {
+                INodeKind::Dir { children, .. } => stack.extend(children.values().copied()),
+                INodeKind::File(_) => files.push(n),
             }
         }
-        if self.nodes.contains_key(&id) {
-            return Err(FsError::Internal(format!("inode {id} already present")));
-        }
-        self.ids.ensure_above(id.0);
-        let charge = Self::charge_of(meta.rv, meta.len);
-        self.nodes.insert(
-            id,
-            INode { id, name: name.to_string(), parent: Some(parent), kind: INodeKind::File(meta) },
-        );
-        if let INodeKind::Dir { children, .. } = &mut self.node_mut(parent)?.kind {
-            children.insert(name.to_string(), id);
-        }
-        if let Err(e) = self.apply_charge(id, &charge, 1) {
-            // Unwind: the charge was never applied, so only unlink.
-            let name = name.to_string();
-            if let INodeKind::Dir { children, .. } = &mut self.node_mut(parent)?.kind {
-                children.remove(&name);
-            }
-            self.nodes.remove(&id);
-            return Err(e);
-        }
-        Ok(())
+        Ok(files)
     }
 
     /// Iterates all files as `(id, path, meta)`.
@@ -972,6 +914,72 @@ mod tests {
         assert_eq!(usage_b[2], 50);
         let (_, usage_a) = ns.quota_usage("/a").unwrap();
         assert_eq!(usage_a[2], 500);
+
+        // A move between two directories under one quota directory that is
+        // already at its limit does not trip it: its usage never changes.
+        ns.mkdir("/q/x", true).unwrap();
+        ns.mkdir("/q/y", true).unwrap();
+        ns.set_quota("/q", TierQuota::limit_tier(2, 100)).unwrap();
+        let h = ns.create_file("/q/x/h", ReplicationVector::msh(0, 0, 1), 128).unwrap();
+        ns.add_block(h, BlockId(3), 100).unwrap();
+        ns.rename("/q/x/h", "/q/y/h").unwrap();
+        assert_eq!(ns.quota_usage("/q").unwrap().1[2], 100);
+        assert_eq!(ns.quota_usage("/q/x").unwrap().1[2], 0);
+        assert_eq!(ns.quota_usage("/q/y").unwrap().1[2], 100);
+    }
+
+    #[test]
+    fn directory_rename_carries_subtree_quota_and_usage() {
+        let mut ns = Namespace::new();
+        ns.mkdir("/src/deep", true).unwrap();
+        ns.set_quota("/src/deep", TierQuota::limit_tier(2, 1000)).unwrap();
+        let f = ns.create_file("/src/deep/f", ReplicationVector::msh(0, 0, 1), 128).unwrap();
+        ns.add_block(f, BlockId(1), 7).unwrap();
+        ns.rename("/src", "/moved").unwrap();
+        assert_eq!(ns.quota_usage("/moved").unwrap().1[2], 7);
+        let (quota, usage) = ns.quota_usage("/moved/deep").unwrap();
+        assert_eq!(quota, TierQuota::limit_tier(2, 1000));
+        assert_eq!(usage[2], 7);
+        assert_eq!(ns.quota_usage("/").unwrap().1[2], 7);
+        assert!(matches!(ns.quota_usage("/src"), Err(FsError::NotFound(_))));
+        // The carried quota is still enforced at its new path.
+        let g = ns.create_file("/moved/deep/g", ReplicationVector::msh(0, 0, 1), 128).unwrap();
+        assert!(matches!(ns.add_block(g, BlockId(2), 994), Err(FsError::QuotaExceeded(_))));
+    }
+
+    #[test]
+    fn recursive_delete_refunds_every_ancestor() {
+        let mut ns = Namespace::new();
+        ns.mkdir("/a/b/c", true).unwrap();
+        let f = ns.create_file("/a/b/f", ReplicationVector::msh(0, 0, 1), 128).unwrap();
+        ns.add_block(f, BlockId(1), 42).unwrap();
+        let g = ns.create_file("/a/b/c/g", ReplicationVector::msh(0, 0, 2), 128).unwrap();
+        ns.add_block(g, BlockId(2), 10).unwrap();
+        for dir in ["/", "/a", "/a/b"] {
+            assert_eq!(ns.quota_usage(dir).unwrap().1[2], 62, "{dir}");
+        }
+        // A limit two levels up is enforced too.
+        ns.set_quota("/a", TierQuota::limit_tier(2, 62)).unwrap();
+        assert!(matches!(ns.add_block(g, BlockId(3), 1), Err(FsError::QuotaExceeded(_))));
+        ns.delete("/a/b", true).unwrap();
+        for dir in ["/", "/a"] {
+            assert_eq!(ns.quota_usage(dir).unwrap().1[2], 0, "{dir}");
+        }
+    }
+
+    #[test]
+    fn set_quota_rejects_limit_below_usage() {
+        let mut ns = Namespace::new();
+        ns.mkdir("/d", true).unwrap();
+        let f = ns.create_file("/d/f", ReplicationVector::msh(1, 0, 0), 128).unwrap();
+        ns.add_block(f, BlockId(1), 50).unwrap();
+        assert!(matches!(
+            ns.set_quota("/d", TierQuota::limit_tier(0, 10)),
+            Err(FsError::QuotaExceeded(_))
+        ));
+        assert_eq!(ns.quota_usage("/d").unwrap().0, TierQuota::default());
+        ns.set_quota("/d", TierQuota::limit_tier(0, 50)).unwrap();
+        assert_eq!(ns.quota_usage("/d").unwrap().0, TierQuota::limit_tier(0, 50));
     }
 
     #[test]

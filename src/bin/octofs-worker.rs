@@ -20,27 +20,14 @@ use std::time::Instant;
 use parking_lot::RwLock;
 
 use octopusfs::core::net::proto::{MasterRequest, MasterResponse};
-use octopusfs::core::net::worker_server::{call_master, WorkerServer};
-use octopusfs::core::worker::Worker;
+use octopusfs::core::net::worker_server::{
+    call_master, report_blocks, send_heartbeat, WorkerServer,
+};
 use octopusfs::core::{build_single_worker, StorageMode};
 use octopusfs::{ClusterConfig, FsError, Result, WorkerId};
 
 /// Heartbeats between full block reports.
 const BEATS_PER_REPORT: u64 = 8;
-
-/// Sends a full block report and applies the master's invalidation reply
-/// — replicas the master no longer tracks, e.g. a delete this worker
-/// missed while offline (§5).
-fn report_blocks(master_addr: std::net::SocketAddr, worker: &Worker) -> Result<()> {
-    if let MasterResponse::Invalidate(stale) =
-        call_master(master_addr, &MasterRequest::BlockReport(worker.id(), worker.block_report()))?
-    {
-        for b in stale {
-            worker.invalidate_block(b);
-        }
-    }
-    Ok(())
-}
 
 fn run(args: &[String]) -> Result<()> {
     let mut master = None;
@@ -120,22 +107,17 @@ fn run(args: &[String]) -> Result<()> {
             server.addr().to_string(),
         ),
     )?;
-    report_blocks(master_addr, &worker)?;
-
     let epoch = Instant::now();
+    report_blocks(master_addr, &worker, 0)?;
+
     let mut beats = 0u64;
     loop {
         let now_ms = epoch.elapsed().as_millis() as u64;
-        let (stats, conns) = worker.heartbeat_stats();
-        let touches = worker.drain_heat_epoch();
-        worker.sample_series(now_ms);
-        let _ = call_master(
-            master_addr,
-            &MasterRequest::Heartbeat(worker.id(), stats, conns, now_ms, touches),
-        );
         beats += 1;
         if beats.is_multiple_of(BEATS_PER_REPORT) {
-            let _ = report_blocks(master_addr, &worker);
+            let _ = report_blocks(master_addr, &worker, now_ms);
+        } else {
+            let _ = send_heartbeat(master_addr, &worker, now_ms);
         }
         if let Ok(MasterResponse::Addresses(list)) =
             call_master(master_addr, &MasterRequest::WorkerAddresses)
