@@ -1,20 +1,16 @@
 //! Message framing over a TCP stream.
 //!
-//! Two formats live here:
-//!
-//! - The legacy `[u32 len][payload]` frame ([`write_frame`]/
-//!   [`read_frame`]), still used by tests and tools that speak to a raw
-//!   socket.
-//! - The multiplexed `[u32 len][u64 request_id][payload]` frame
-//!   ([`write_mux_frame`]/[`read_mux_frame`]) every RPC now travels in.
-//!   The id lets any number of in-flight calls share one connection:
-//!   responses carry the id of the request they answer, in whatever order
-//!   the server finishes them.
+//! Every RPC travels in one `[u32 len][u64 request_id][payload]` frame
+//! ([`write_mux_frame`]/[`read_mux_frame`]). The id lets any number of
+//! in-flight calls share one connection: responses carry the id of the
+//! request they answer, in whatever order the server finishes them.
 //!
 //! [`write_mux_frame`] takes the payload as a list of segments and writes
 //! them with at most one small staging copy: large segments (block
 //! payloads handed around as [`bytes::Bytes`]) are written straight from
 //! their backing buffer, so framing never copies a block.
+//! [`read_mux_frame`] reads the payload into a buffer it does not
+//! zero-fill first, and the caller turns it into a `Bytes` by move.
 
 use std::io::{Read, Write};
 
@@ -31,35 +27,6 @@ pub const MUX_ID_LEN: usize = 8;
 /// Segments at or below this size are coalesced into the header write;
 /// larger ones go to the socket directly from their own buffer.
 const COALESCE_LIMIT: usize = 16 * 1024;
-
-/// Writes one `[u32 len][payload]` frame (legacy, unmultiplexed).
-pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> Result<()> {
-    if payload.len() > MAX_FRAME {
-        return Err(FsError::Io(format!("frame of {} bytes exceeds cap", payload.len())));
-    }
-    stream.write_all(&(payload.len() as u32).to_le_bytes())?;
-    stream.write_all(payload)?;
-    stream.flush()?;
-    Ok(())
-}
-
-/// Reads one legacy frame. Returns `None` on clean EOF at a frame
-/// boundary.
-pub fn read_frame(stream: &mut impl Read) -> Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    match stream.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e.into()),
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(FsError::Io(format!("incoming frame of {len} bytes exceeds cap")));
-    }
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
-    Ok(Some(payload))
-}
 
 /// Writes one `[u32 len][u64 id][payload]` frame, where the payload is
 /// the concatenation of `segs`. `len` counts the id plus the payload.
@@ -114,8 +81,15 @@ pub fn read_mux_frame(stream: &mut impl Read) -> Result<Option<(u64, Vec<u8>)>> 
         return Err(FsError::Io(format!("incoming frame of {len} bytes exceeds cap")));
     }
     let id = u64::from_le_bytes(head[4..].try_into().unwrap());
-    let mut payload = vec![0u8; len - MUX_ID_LEN];
-    stream.read_exact(&mut payload)?;
+    let want = len - MUX_ID_LEN;
+    let mut payload = Vec::with_capacity(want);
+    stream.take(want as u64).read_to_end(&mut payload)?;
+    if payload.len() < want {
+        return Err(FsError::Io(format!(
+            "EOF after {} of {want} mux payload bytes",
+            payload.len()
+        )));
+    }
     Ok(Some((id, payload)))
 }
 
@@ -125,31 +99,25 @@ mod tests {
     use std::io::Cursor;
 
     #[test]
-    fn round_trip_frames() {
+    fn truncated_mux_payload_errors() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        write_frame(&mut buf, b"").unwrap();
-        write_frame(&mut buf, &[7u8; 1000]).unwrap();
-        let mut cur = Cursor::new(buf);
-        assert_eq!(read_frame(&mut cur).unwrap().unwrap(), b"hello");
-        assert_eq!(read_frame(&mut cur).unwrap().unwrap(), b"");
-        assert_eq!(read_frame(&mut cur).unwrap().unwrap(), vec![7u8; 1000]);
-        assert!(read_frame(&mut cur).unwrap().is_none()); // clean EOF
+        write_mux_frame(&mut buf, 3, &[b"hello"]).unwrap();
+        buf.truncate(buf.len() - 2);
+        assert!(read_mux_frame(&mut Cursor::new(buf)).is_err());
     }
 
     #[test]
-    fn truncated_frame_errors() {
+    fn received_payload_becomes_bytes_without_a_copy() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        buf.truncate(buf.len() - 2);
-        let mut cur = Cursor::new(buf);
-        assert!(read_frame(&mut cur).is_err());
+        write_mux_frame(&mut buf, 1, &[&[7u8; 4096]]).unwrap();
+        let (_, payload) = read_mux_frame(&mut Cursor::new(buf)).unwrap().unwrap();
+        let at = payload.as_ptr();
+        let frame = bytes::Bytes::from(payload);
+        assert!(std::ptr::eq(frame.as_ptr(), at));
     }
 
     #[test]
     fn hostile_length_rejected() {
-        let mut cur = Cursor::new(u32::MAX.to_le_bytes().to_vec());
-        assert!(read_frame(&mut cur).is_err());
         let mut mux = Vec::new();
         mux.extend_from_slice(&u32::MAX.to_le_bytes());
         mux.extend_from_slice(&1u64.to_le_bytes());

@@ -223,17 +223,7 @@ fn dispatch_inner(state: &MasterState, req: MasterRequest) -> Result<MasterRespo
             master.report_corrupt(block, loc);
             A::Unit
         }
-        Q::EditsSince(from) => {
-            let ops = master.edits_since(from as usize);
-            let mut buf = Vec::new();
-            for op in &ops {
-                let body = op.encode();
-                buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
-                buf.extend_from_slice(&octopus_common::checksum::crc32(&body).to_le_bytes());
-                buf.extend_from_slice(&body);
-            }
-            A::Edits(bytes::Bytes::from(buf))
-        }
+        Q::EditsSince(from) => A::Edits(master.edit_records_since(from as usize).into()),
         Q::WorkerAddresses => {
             A::Addresses(state.addrs.read().iter().map(|(w, a)| (*w, a.clone())).collect())
         }

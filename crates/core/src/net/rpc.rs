@@ -136,8 +136,17 @@ struct Peer {
     /// returns its error instead of waiting out another connect timeout.
     dials: AtomicU64,
     rr: AtomicU64,
-    inflight: Mutex<u32>,
+    inflight: Mutex<Inflight>,
     inflight_cv: Condvar,
+}
+
+/// A peer's in-flight count and the callers parked on its cap.
+#[derive(Default)]
+struct Inflight {
+    calls: u32,
+    /// Callers parked on `inflight_cv`. A release wakes one only when
+    /// there are any: a wake-up is a system call even with no waiter.
+    waiters: u32,
 }
 
 /// RAII release of one per-peer in-flight slot.
@@ -148,8 +157,10 @@ struct Permit {
 impl Drop for Permit {
     fn drop(&mut self) {
         let mut n = self.peer.inflight.lock().unwrap();
-        *n = n.saturating_sub(1);
-        self.peer.inflight_cv.notify_one();
+        n.calls = n.calls.saturating_sub(1);
+        if n.waiters > 0 {
+            self.peer.inflight_cv.notify_one();
+        }
     }
 }
 
@@ -401,7 +412,7 @@ impl RpcClient {
                 dial: Mutex::new(None),
                 dials: AtomicU64::new(0),
                 rr: AtomicU64::new(0),
-                inflight: Mutex::new(0),
+                inflight: Mutex::new(Inflight::default()),
                 inflight_cv: Condvar::new(),
             })
         }))
@@ -414,17 +425,19 @@ impl RpcClient {
         let budget = self.cfg.write_timeout_ms.saturating_add(self.cfg.read_timeout_ms).max(1);
         let deadline = Instant::now() + Duration::from_millis(budget);
         let mut n = peer.inflight.lock().unwrap();
-        while *n >= cap {
+        while n.calls >= cap {
             let now = Instant::now();
             if now >= deadline {
                 return Err(FsError::Timeout(format!(
                     "peer in-flight cap ({cap}) saturated for {budget}ms"
                 )));
             }
+            n.waiters += 1;
             let (guard, _) = peer.inflight_cv.wait_timeout(n, deadline - now).unwrap();
             n = guard;
+            n.waiters -= 1;
         }
-        *n += 1;
+        n.calls += 1;
         drop(n);
         Ok(Permit { peer: Arc::clone(peer) })
     }

@@ -19,6 +19,12 @@
 //!   `active₁+active₂ < T−R` and class-2 jobs only while `active₂ < T−2R`,
 //!   so leaf work (class 0) always finds a thread somewhere and every
 //!   blocked forward eventually completes bottom-up.
+//! - **One wake-up per job** — an enqueue wakes one idle thread, and only
+//!   for an admissible job; a thread that finishes a job releases its
+//!   slot and takes the next admissible job itself, under the same lock;
+//!   whoever takes a job wakes one more thread only if another admissible
+//!   job is still queued. Idle threads are never woken just to find
+//!   nothing to do (only shutdown wakes them all).
 //! - **Per-connection in-flight caps** — a reader stops pulling frames
 //!   once [`ServerConfig::max_inflight_per_conn`] of its requests are
 //!   outstanding, pushing backpressure into the client's TCP window
@@ -117,6 +123,21 @@ impl Shared {
             1 => active[1] + active[2] < t.saturating_sub(r).max(1),
             _ => active[2] < t.saturating_sub(2 * r).max(1),
         }
+    }
+
+    /// Removes the first admissible job from the queue and counts it
+    /// active. When another admissible job is still queued, wakes one
+    /// idle thread for it: a completion can make two jobs admissible (a
+    /// freed class-2 slot admits one class-1 and one class-2 job), and
+    /// the taker is the only one who knows.
+    fn take_job(&self, pool: &mut PoolState) -> Option<Job> {
+        let i = pool.queue.iter().position(|j| self.admissible(j.class, &pool.active))?;
+        let job = pool.queue.remove(i).expect("job index valid under lock");
+        pool.active[job.class] += 1;
+        if pool.queue.iter().skip(i).any(|j| self.admissible(j.class, &pool.active)) {
+            self.pool_cv.notify_one();
+        }
+        Some(job)
     }
 
     fn untrack(&self, conn_id: u64) {
@@ -311,36 +332,38 @@ fn conn_reader(mut stream: TcpStream, conn_id: u64, conn: Arc<Conn>, shared: Arc
         if pool.stopped {
             break;
         }
+        // Wake one idle thread, and only for a job that may start now: an
+        // inadmissible job is taken by the thread whose completion frees
+        // its slot.
+        let wake = shared.admissible(class, &pool.active);
         pool.queue.push_back(job);
         drop(pool);
-        shared.pool_cv.notify_all();
+        if wake {
+            shared.pool_cv.notify_one();
+        }
     }
     shared.untrack(conn_id);
     conn.sever();
 }
 
-/// One dispatch-pool thread: admit the first eligible job, run the
-/// handler, write the response, release the connection window.
+/// One dispatch-pool thread: take the first admissible job, run the
+/// handler, write the response, release the connection window, and take
+/// the next job under the same lock that releases the class slot. A
+/// thread parks only when no queued job may start.
 fn pool_loop(shared: Arc<Shared>) {
+    let cap = shared.cfg.max_inflight_per_conn.max(1);
+    let mut pool = shared.pool.lock().unwrap();
     loop {
-        let job = {
-            let mut pool = shared.pool.lock().unwrap();
-            loop {
-                if pool.stopped {
-                    return;
-                }
-                let slot = {
-                    let active = pool.active;
-                    pool.queue.iter().position(|j| shared.admissible(j.class, &active))
-                };
-                if let Some(i) = slot {
-                    let job = pool.queue.remove(i).expect("job index valid under lock");
-                    pool.active[job.class] += 1;
-                    break job;
-                }
-                pool = shared.pool_cv.wait(pool).unwrap();
+        let job = loop {
+            if pool.stopped {
+                return;
             }
+            if let Some(job) = shared.take_job(&mut pool) {
+                break job;
+            }
+            pool = shared.pool_cv.wait(pool).unwrap();
         };
+        drop(pool);
 
         let response = (shared.handler)(job.frame);
         let alive = {
@@ -355,14 +378,15 @@ fn pool_loop(shared: Arc<Shared>) {
             shared.untrack(job.conn_id);
         }
         {
+            // The reader is the only waiter, and it parks only at the cap.
             let mut n = job.conn.inflight.lock().unwrap();
+            if *n >= cap {
+                job.conn.inflight_cv.notify_one();
+            }
             *n = n.saturating_sub(1);
-            job.conn.inflight_cv.notify_one();
         }
-        let mut pool = shared.pool.lock().unwrap();
+        pool = shared.pool.lock().unwrap();
         pool.active[job.class] -= 1;
-        drop(pool);
-        shared.pool_cv.notify_all();
     }
 }
 
@@ -395,5 +419,106 @@ fn reaper_loop(shared: Arc<Shared>) {
             // Severing wakes the reader, which untracks the connection.
             conn.sever();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::net::frame::write_mux_frame;
+    use std::sync::Barrier;
+
+    /// A test server whose requests are `[class, gate]`: the handler of a
+    /// request with gate `g < gates.len()` meets the test at `entered`,
+    /// then blocks until the test meets it at `gates[g]`. Every response
+    /// echoes the gate byte.
+    fn gated_server(
+        cfg: ServerConfig,
+        entered: Arc<Barrier>,
+        gates: Arc<Vec<Barrier>>,
+    ) -> ServerCore {
+        let handler: Handler = Arc::new(move |frame: bytes::Bytes| {
+            let gate = frame[1] as usize;
+            if let Some(g) = gates.get(gate) {
+                entered.wait();
+                g.wait();
+            }
+            FramePayload::small(vec![frame[1]])
+        });
+        ServerCore::spawn("127.0.0.1:0", "test", cfg, Arc::new(|body| body[0] as usize), handler)
+            .unwrap()
+    }
+
+    fn connect(server: &ServerCore) -> TcpStream {
+        let s = TcpStream::connect(server.addr()).unwrap();
+        // A lost wake-up shows as a read timeout instead of a hung test.
+        s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        s
+    }
+
+    fn send(s: &mut TcpStream, id: u64, class: u8, gate: u8) {
+        write_mux_frame(s, id, &[&[class, gate]]).unwrap();
+    }
+
+    fn recv(s: &mut TcpStream) -> (u64, u8) {
+        let (id, payload) = read_mux_frame(s).unwrap().expect("response");
+        (id, payload[0])
+    }
+
+    /// Waits until `n` jobs sit in the dispatch queue.
+    fn await_queued(server: &ServerCore, n: usize) {
+        while server.shared.pool.lock().unwrap().queue.len() < n {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn freed_class_slot_admits_the_queued_job() {
+        // 4 threads: reserve 1, so two class-2 jobs fill the class-2 cap.
+        let cfg = ServerConfig { dispatch_threads: 4, ..ServerConfig::fast_test() };
+        let entered = Arc::new(Barrier::new(2));
+        let gates = Arc::new(vec![Barrier::new(2), Barrier::new(2)]);
+        let server = gated_server(cfg, Arc::clone(&entered), Arc::clone(&gates));
+        let mut s = connect(&server);
+        send(&mut s, 1, 2, 0);
+        entered.wait();
+        send(&mut s, 2, 2, 1);
+        entered.wait();
+        // A third class-2 request is inadmissible and waits in the queue.
+        send(&mut s, 3, 2, 9);
+        await_queued(&server, 1);
+        // Releasing one blocked request frees a class-2 slot; the queued
+        // request must run with no further enqueue to wake a thread.
+        gates[0].wait();
+        let mut done = vec![recv(&mut s), recv(&mut s)];
+        done.sort();
+        assert_eq!(done, vec![(1, 0), (3, 9)]);
+        gates[1].wait();
+        assert_eq!(recv(&mut s), (2, 1));
+    }
+
+    #[test]
+    fn one_thread_serves_a_full_connection_window() {
+        let cfg = ServerConfig {
+            dispatch_threads: 1,
+            max_inflight_per_conn: 32,
+            ..ServerConfig::fast_test()
+        };
+        let entered = Arc::new(Barrier::new(2));
+        let gates = Arc::new(vec![Barrier::new(2)]);
+        let server = gated_server(cfg, Arc::clone(&entered), Arc::clone(&gates));
+        let mut s = connect(&server);
+        // The first request holds the only thread until the other 31 are
+        // queued; the thread must then drain them all on its own.
+        send(&mut s, 0, 0, 0);
+        entered.wait();
+        for id in 1..32 {
+            send(&mut s, id, 0, 9);
+        }
+        await_queued(&server, 31);
+        gates[0].wait();
+        let mut ids: Vec<u64> = (0..32).map(|_| recv(&mut s).0).collect();
+        ids.sort();
+        assert_eq!(ids, (0..32).collect::<Vec<u64>>());
     }
 }

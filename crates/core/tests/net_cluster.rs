@@ -196,6 +196,33 @@ fn remote_lease_blocks_second_writer_on_open_file() {
 }
 
 #[test]
+fn edits_since_over_rpc_decodes_to_the_masters_ops() {
+    use octopus_core::net::proto::{MasterRequest, MasterResponse};
+    use octopus_core::net::worker_server::call_master;
+    use octopus_master::editlog::decode_stream;
+
+    let cluster = NetCluster::start(config()).unwrap();
+    let client = cluster.client(ClientLocation::OffCluster);
+    client.mkdir("/e/a").unwrap();
+    client
+        .write_file("/e/a/f", &payload(1500, 3), ReplicationVector::from_replication_factor(2))
+        .unwrap();
+    client.rename("/e/a/f", "/e/g").unwrap();
+    client.delete("/e/a", true).unwrap();
+    let master = cluster.master();
+    let n = master.edit_count();
+    assert!(n >= 6, "mkdir, create, block, close, rename, delete: {n}");
+    for k in [0, 1, n / 2, n - 1, n, n + 5] {
+        let MasterResponse::Edits(buf) =
+            call_master(cluster.master_addr(), &MasterRequest::EditsSince(k as u64)).unwrap()
+        else {
+            panic!("EditsSince answered with another response");
+        };
+        assert_eq!(decode_stream(&buf).unwrap(), master.edits_since(k), "EditsSince({k})");
+    }
+}
+
+#[test]
 fn networked_backup_tails_and_takes_over() {
     use octopus_core::net::NetBackup;
 

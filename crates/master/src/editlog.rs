@@ -309,126 +309,217 @@ impl EditOp {
     }
 }
 
-/// Frames ops as `[len u32][crc u32][body]` records.
-fn frame(op: &EditOp) -> Vec<u8> {
+/// Bytes of a record's `[len u32][crc u32]` header.
+const RECORD_HEADER: usize = 8;
+
+/// Appends `op` to `buf` as one `[len u32][crc u32][body]` record.
+fn frame_into(buf: &mut Vec<u8>, op: &EditOp) {
     let body = op.encode();
-    let mut rec = Vec::with_capacity(body.len() + 8);
-    rec.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    rec.extend_from_slice(&crc32(&body).to_le_bytes());
-    rec.extend_from_slice(&body);
-    rec
+    buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&crc32(&body).to_le_bytes());
+    buf.extend_from_slice(&body);
+}
+
+/// The bodies of the complete framed records at the front of `buf`, each
+/// CRC-checked. Stops cleanly at a truncated tail (a crash mid-append);
+/// a complete record whose CRC does not match yields an error and ends
+/// the iteration.
+fn records(mut buf: &[u8]) -> impl Iterator<Item = Result<&[u8]>> {
+    std::iter::from_fn(move || {
+        if buf.len() < RECORD_HEADER {
+            return None;
+        }
+        let len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
+        let crc = u32::from_le_bytes(buf[4..8].try_into().unwrap());
+        let body = buf.get(RECORD_HEADER..RECORD_HEADER + len)?; // truncated tail
+        if crc32(body) != crc {
+            buf = &[];
+            return Some(Err(FsError::Io("edit record CRC mismatch".into())));
+        }
+        buf = &buf[RECORD_HEADER + len..];
+        Some(Ok(body))
+    })
 }
 
 /// Decodes a stream of framed records. Stops cleanly at a truncated tail
 /// (a crash mid-append), erroring only on corruption of complete records.
-pub fn decode_stream(mut buf: &[u8]) -> Result<Vec<EditOp>> {
-    let mut ops = Vec::new();
-    while buf.len() >= 8 {
-        let len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-        if buf.len() < 8 + len {
-            break; // truncated tail
-        }
-        let body = &buf[8..8 + len];
-        if crc32(body) != crc {
-            return Err(FsError::Io("edit record CRC mismatch".into()));
-        }
-        ops.push(EditOp::decode(body)?);
-        buf = &buf[8 + len..];
-    }
-    Ok(ops)
+pub fn decode_stream(buf: &[u8]) -> Result<Vec<EditOp>> {
+    records(buf).map(|body| EditOp::decode(body?)).collect()
 }
 
-/// The edit log: an in-memory op sequence, optionally write-through to a
-/// file.
+/// Capacity of one segment of a log's retained records.
+const SEGMENT: usize = 1 << 20;
+
+/// The edit log, optionally write-through to a file. It holds the ops as
+/// the same `[len][crc][body]` records the file and `EditsSince` carry,
+/// and decodes them on demand: a retained op costs its encoded bytes, not
+/// an enum with heap strings. The records sit in segments of about
+/// [`SEGMENT`] bytes, so a growing log adds a segment instead of
+/// reallocating (and for a moment holding twice) everything it retains.
 pub struct EditLog {
-    ops: Vec<EditOp>,
+    /// The framed records, in order. A record never spans two segments;
+    /// a file-backed log's concatenated segments equal the file.
+    segments: Vec<Vec<u8>>,
+    /// Index of the first op of each segment.
+    first_op: Vec<usize>,
+    /// Number of ops.
+    len: usize,
     file: Option<File>,
 }
 
 impl EditLog {
     /// An in-memory log (tests, simulations).
     pub fn in_memory() -> Self {
-        Self { ops: Vec::new(), file: None }
+        Self { segments: Vec::new(), first_op: Vec::new(), len: 0, file: None }
     }
 
-    /// Opens (or creates) a file-backed log, loading existing records.
+    /// Opens (or creates) a file-backed log, loading existing records. A
+    /// torn last record (a crash mid-append) is cut off the file and the
+    /// cut is synced before anything is appended, so new records never
+    /// land behind a torn header.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref();
         let mut existing = Vec::new();
         if path.exists() {
             File::open(path)?.read_to_end(&mut existing)?;
         }
-        let ops = decode_stream(&existing)?;
+        let (mut len, mut end) = (0, 0);
+        for body in records(&existing) {
+            let body = body?;
+            EditOp::decode(body)?;
+            len += 1;
+            end += RECORD_HEADER + body.len();
+        }
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Self { ops, file: Some(file) })
+        if end < existing.len() {
+            file.set_len(end as u64)?;
+            file.sync_data()?;
+            existing.truncate(end);
+        }
+        let mut log = Self::in_memory();
+        if len > 0 {
+            // The loaded records are the first segment, as read.
+            log.segments.push(existing);
+            log.first_op.push(0);
+            log.len = len;
+        }
+        log.file = Some(file);
+        Ok(log)
     }
 
     /// Appends an op (write-through when file-backed).
     pub fn append(&mut self, op: EditOp) -> Result<()> {
-        if let Some(f) = &mut self.file {
-            f.write_all(&frame(&op))?;
-            f.flush()?;
-        }
-        self.ops.push(op);
-        Ok(())
+        self.append_records(std::slice::from_ref(&op), false)
     }
 
     /// Appends a batch of ops with one coalesced write and a single
     /// `fsync` — the durability half of group commit. Records only become
-    /// part of the in-memory sequence once the whole batch is on stable
-    /// storage, so tailing readers (the backup master) never see an op
-    /// that a crash could take back.
+    /// part of the log once the whole batch is on stable storage, so
+    /// tailing readers (the backup master) never see an op that a crash
+    /// could take back.
     pub fn append_batch(&mut self, ops: Vec<EditOp>) -> Result<()> {
+        self.append_records(&ops, true)
+    }
+
+    /// Frames `ops`, writes them through, and only then retains them.
+    fn append_records(&mut self, ops: &[EditOp], sync: bool) -> Result<()> {
         if ops.is_empty() {
             return Ok(());
         }
-        if let Some(f) = &mut self.file {
-            let mut buf = Vec::with_capacity(ops.len() * 64);
-            for op in &ops {
-                buf.extend_from_slice(&frame(op));
-            }
-            f.write_all(&buf)?;
-            f.flush()?;
-            f.sync_data()?;
+        let mut buf = Vec::new();
+        let mut ends = Vec::with_capacity(ops.len());
+        for op in ops {
+            frame_into(&mut buf, op);
+            ends.push(buf.len());
         }
-        self.ops.extend(ops);
+        if let Some(f) = &mut self.file {
+            f.write_all(&buf)?;
+            if sync {
+                f.sync_data()?;
+            }
+        }
+        let mut start = 0;
+        for end in ends {
+            self.retain(&buf[start..end]);
+            start = end;
+        }
         Ok(())
     }
 
-    /// All recorded ops.
-    pub fn ops(&self) -> &[EditOp] {
-        &self.ops
+    /// Copies one record onto the end of the last segment, or into a new
+    /// segment when it does not fit.
+    fn retain(&mut self, record: &[u8]) {
+        match self.segments.last_mut() {
+            Some(seg) if seg.capacity() - seg.len() >= record.len() => {
+                seg.extend_from_slice(record)
+            }
+            _ => {
+                let mut seg = Vec::with_capacity(SEGMENT.max(record.len()));
+                seg.extend_from_slice(record);
+                self.segments.push(seg);
+                self.first_op.push(self.len);
+            }
+        }
+        self.len += 1;
+    }
+
+    /// All recorded ops, decoded.
+    pub fn ops(&self) -> Vec<EditOp> {
+        self.since(0)
     }
 
     /// Number of recorded ops.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.len
     }
 
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.len == 0
     }
 
-    /// Ops recorded at or after index `from` (for incremental tailing by
-    /// the backup master).
-    pub fn since(&self, from: usize) -> &[EditOp] {
-        &self.ops[from.min(self.ops.len())..]
+    /// A copy of the framed records of the ops at or after index `from`:
+    /// the bytes `EditsSince` serves, and [`decode_stream`] reads back.
+    pub fn records_since(&self, from: usize) -> Vec<u8> {
+        if from >= self.len {
+            return Vec::new();
+        }
+        // The segment holding op `from`, then `from`'s offset in it,
+        // hopping over the record headers before it.
+        let s = self.first_op.partition_point(|&first| first <= from) - 1;
+        let seg = &self.segments[s];
+        let mut at = 0;
+        for _ in self.first_op[s]..from {
+            let len = u32::from_le_bytes(seg[at..at + 4].try_into().expect("4-byte length"));
+            at += RECORD_HEADER + len as usize;
+        }
+        let mut out = seg[at..].to_vec();
+        for seg in &self.segments[s + 1..] {
+            out.extend_from_slice(seg);
+        }
+        out
+    }
+
+    /// Ops recorded at or after index `from`, decoded (for incremental
+    /// tailing by the backup master).
+    pub fn since(&self, from: usize) -> Vec<EditOp> {
+        decode_stream(&self.records_since(from)).expect("the log holds only records it validated")
     }
 
     /// Replays the whole log onto a namespace.
     pub fn replay(&self, ns: &mut Namespace) -> Result<()> {
-        for op in &self.ops {
-            op.apply(ns)?;
+        for body in self.segments.iter().flat_map(|seg| records(seg)) {
+            EditOp::decode(body?)?.apply(ns)?;
         }
         Ok(())
     }
 
-    /// Truncates the in-memory ops (after they are folded into a
-    /// checkpoint). File-backed logs are rewritten empty.
+    /// Truncates the log (after its ops are folded into a checkpoint).
+    /// File-backed logs are rewritten empty.
     pub fn truncate(&mut self) -> Result<()> {
-        self.ops.clear();
+        self.segments.clear();
+        self.first_op.clear();
+        self.len = 0;
         if let Some(f) = &mut self.file {
             f.set_len(0)?;
         }
@@ -554,11 +645,17 @@ impl GroupCommitLog {
         self.log.lock().len()
     }
 
-    /// Clones the durable ops recorded at or after index `from` (for
+    /// The durable ops recorded at or after index `from`, decoded (for
     /// incremental tailing by the backup master). Staged-but-unflushed ops
     /// are invisible here by design.
     pub fn since(&self, from: usize) -> Vec<EditOp> {
-        self.log.lock().since(from).to_vec()
+        decode_stream(&self.records_since(from)).expect("the log holds only records it validated")
+    }
+
+    /// A copy of the framed records of the durable ops at or after index
+    /// `from`, as the log file holds them.
+    pub fn records_since(&self, from: usize) -> Vec<u8> {
+        self.log.lock().records_since(from)
     }
 
     /// Forces every staged op to stable storage.
@@ -617,7 +714,7 @@ pub fn namespace_to_ops(ns: &Namespace) -> Vec<EditOp> {
 pub fn encode_image(ns: &Namespace) -> Vec<u8> {
     let mut out = Vec::new();
     for op in namespace_to_ops(ns) {
-        out.extend_from_slice(&frame(&op));
+        frame_into(&mut out, &op);
     }
     out
 }
@@ -679,7 +776,7 @@ mod tests {
     fn stream_survives_truncated_tail_but_not_corruption() {
         let mut buf = Vec::new();
         for op in sample_ops() {
-            buf.extend_from_slice(&frame(&op));
+            frame_into(&mut buf, &op);
         }
         let full = decode_stream(&buf).unwrap();
         assert_eq!(full.len(), sample_ops().len());
@@ -710,14 +807,20 @@ mod tests {
         assert_eq!(q, TierQuota::limit_tier(0, 1 << 20));
     }
 
-    #[test]
-    fn file_backed_log_persists() {
+    /// A fresh directory for one file-backed log test.
+    fn temp_dir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
-            "octopus_editlog_{}_{}",
+            "octopus_editlog_{name}_{}_{}",
             std::process::id(),
             std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
         ));
         std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn file_backed_log_persists() {
+        let dir = temp_dir("persist");
         let path = dir.join("edits.log");
         {
             let mut log = EditLog::open(&path).unwrap();
@@ -726,7 +829,70 @@ mod tests {
             }
         }
         let log2 = EditLog::open(&path).unwrap();
-        assert_eq!(log2.ops(), sample_ops().as_slice());
+        assert_eq!(log2.ops(), sample_ops());
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn retained_records_equal_the_file() {
+        let dir = temp_dir("retained");
+        let path = dir.join("edits.log");
+        let mut log = EditLog::open(&path).unwrap();
+        let ops = sample_ops();
+        let (single, batch) = ops.split_at(5);
+        for op in single {
+            log.append(op.clone()).unwrap();
+        }
+        assert_eq!(log.records_since(0), std::fs::read(&path).unwrap());
+        log.append_batch(batch.to_vec()).unwrap();
+        assert_eq!(log.records_since(0), std::fs::read(&path).unwrap());
+        assert_eq!(log.ops(), sample_ops());
+        assert_eq!(decode_stream(&log.records_since(7)).unwrap(), log.since(7));
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn since_reads_across_segments() {
+        let ops: Vec<EditOp> =
+            (0..50_000).map(|i| EditOp::Mkdir { path: format!("/dir/{i:08}") }).collect();
+        let mut log = EditLog::in_memory();
+        for chunk in ops.chunks(1000) {
+            log.append_batch(chunk.to_vec()).unwrap();
+        }
+        assert!(log.segments.len() >= 2, "the test must span segments");
+        let mut all = Vec::new();
+        for op in &ops {
+            frame_into(&mut all, op);
+        }
+        assert_eq!(log.records_since(0), all);
+        let boundary = log.first_op[1];
+        for k in [1, boundary - 1, boundary, boundary + 1, ops.len() - 1, ops.len()] {
+            assert_eq!(log.since(k), ops[k..], "since({k})");
+        }
+    }
+
+    #[test]
+    fn reopen_after_torn_tail_then_append_replays() {
+        let dir = temp_dir("torn");
+        let path = dir.join("edits.log");
+        {
+            let mut log = EditLog::open(&path).unwrap();
+            log.append(EditOp::Mkdir { path: "/a".into() }).unwrap();
+            log.append(EditOp::Mkdir { path: "/b".into() }).unwrap();
+        }
+        // A crash mid-append tears the last record.
+        let len = std::fs::metadata(&path).unwrap().len();
+        OpenOptions::new().write(true).open(&path).unwrap().set_len(len - 3).unwrap();
+        {
+            let mut log = EditLog::open(&path).unwrap();
+            assert_eq!(log.len(), 1);
+            log.append(EditOp::Mkdir { path: "/c".into() }).unwrap();
+        }
+        let log = EditLog::open(&path).unwrap();
+        assert_eq!(
+            log.ops(),
+            vec![EditOp::Mkdir { path: "/a".into() }, EditOp::Mkdir { path: "/c".into() }]
+        );
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -314,7 +314,7 @@ impl Master {
         for op in log.ops() {
             op.apply(&mut ns)?;
             if let EditOp::AddBlock { block, gen, len, .. } = op {
-                block_catalog.insert(*block, Block { id: *block, gen: GenStamp(*gen), len: *len });
+                block_catalog.insert(block, Block { id: block, gen: GenStamp(gen), len });
                 max_block = max_block.max(block.0);
             }
         }
@@ -1854,6 +1854,12 @@ impl Master {
     /// the backup master — staged-but-unsynced ops are not yet visible).
     pub fn edits_since(&self, from: usize) -> Vec<EditOp> {
         self.log.since(from)
+    }
+
+    /// [`Master::edits_since`] as the log stores it: the framed
+    /// `[len][crc][body]` records, ready to send.
+    pub fn edit_records_since(&self, from: usize) -> Vec<u8> {
+        self.log.records_since(from)
     }
 
     /// Number of durable ops in the edit log.

@@ -78,9 +78,19 @@ impl BlockStore for MemoryStore {
                 g.used, block.len, self.capacity
             )));
         }
+        // The store owns its bytes. A payload received over RPC is a view
+        // into the whole received frame; keeping that view would pin the
+        // frame's allocation until the block is deleted, and such frames,
+        // freed in random order, fragment the heap (perfbench tiered_hot
+        // on 2 vCPUs: peak RSS +12–29% with the allocator's in-use bytes
+        // unchanged).
+        let data = match data {
+            BlockData::Real(b) => BlockData::Real(Bytes::copy_from_slice(b)),
+            synthetic => synthetic.clone(),
+        };
         let checksum = data.checksum();
         g.used += block.len;
-        g.entries.insert(block.id, Entry { block, data: data.clone(), checksum });
+        g.entries.insert(block.id, Entry { block, data, checksum });
         Ok(())
     }
 

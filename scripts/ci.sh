@@ -16,6 +16,20 @@ cargo fmt --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
+echo "==> benchmark tests and meta_churn smoke"
+# The benchmark's own tests (generator, percentiles, oracle), then a
+# 3-second meta_churn run on a loopback cluster: its last line is one
+# JSON object, which must report a correct run with no failed call or
+# check.
+python3 perfbench/run.py test
+bench_json=$(python3 perfbench/run.py --workload meta_churn --seed 7 --seconds 3 --trace 0 | tail -1)
+if ! grep -q '"correct": true' <<<"$bench_json" || ! grep -q '"failed": 0,' <<<"$bench_json"; then
+    echo "benchmark smoke: meta_churn run incorrect or with failures" >&2
+    printf '%s\n' "$bench_json" >&2
+    exit 1
+fi
+echo "benchmark smoke: meta_churn correct, 0 failed"
+
 echo "==> metrics smoke test"
 # Boot a networked cluster, do one write/read, and check the merged
 # metrics snapshot exposes the expected series from every layer.
